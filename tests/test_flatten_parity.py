@@ -4,7 +4,9 @@ Runs /root/reference (via sys.path injection) and transmog_ray.core on the
 same nested fixtures and asserts identical table names, rows, column sets
 and — under deterministic ID strategies — identical ``_id``/``_parent_id``
 values. This pins the semantics contract documented in
-transmog_ray/core/flatten.py; the reference is the oracle.
+transmog_ray/core/flatten.py; the reference is the oracle. The
+reference-comparison tests skip when the reference ``transmog`` cannot be
+imported; the two kernel-only tests (uuid5 ids, thread safety) always run.
 """
 
 from __future__ import annotations
@@ -17,14 +19,22 @@ import pytest
 
 sys.path.insert(0, "/root/reference/src")
 
-import transmog as ref  # noqa: E402  (the reference package)
-from transmog.types import ArrayMode as RefArrayMode  # noqa: E402
+try:
+    import transmog as ref  # noqa: E402  (the reference package)
+    from transmog.types import ArrayMode as RefArrayMode  # noqa: E402
+except ImportError:
+    ref = RefArrayMode = None
 
 from transmog_ray.core.config import FlattenConfig  # noqa: E402
 from transmog_ray.core.flatten import Flattener, sanitize_name  # noqa: E402
 from transmog_ray.core import hashing  # noqa: E402
 
 TIME = "_timestamp"
+
+needs_ref = pytest.mark.skipif(
+    ref is None,
+    reason="reference implementation (transmog) not importable: reference source missing",
+)
 
 # ---------------------------------------------------------------- fixtures
 # Nested shapes mirroring the reference test-suite's canonical fixtures
@@ -159,37 +169,44 @@ def assert_parity(records, entity, mode="smart", id_generation="hash", **kw):
         assert ours_n[tname] == theirs_n[tname], f"table {tname} mismatch"
 
 
+@needs_ref
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name,record", CORPUS)
 def test_parity_hash_ids(name, record, mode):
     assert_parity([record], "entity", mode=mode, id_generation="hash")
 
 
+@needs_ref
 @pytest.mark.parametrize("name,record", CORPUS)
 def test_parity_composite_ids(name, record):
     assert_parity([record], "entity", mode="smart", id_generation=["id", "name"])
 
 
+@needs_ref
 @pytest.mark.parametrize("mode", ["smart", "separate"])
 def test_parity_random_shape(mode):
     assert_parity([ARRAYS, DEEP], "e", mode=mode, id_generation="random")
 
 
+@needs_ref
 @pytest.mark.parametrize("name,record", CORPUS)
 def test_parity_include_nulls(name, record):
     assert_parity([record], "entity", id_generation="hash", include_nulls=True)
 
 
+@needs_ref
 @pytest.mark.parametrize("name,record", CORPUS)
 def test_parity_stringify(name, record):
     assert_parity([record], "entity", id_generation="hash", stringify_values=True)
 
 
+@needs_ref
 def test_parity_batch_order():
     batch = [SIMPLE, ARRAYS, DEEP, MIXED_TYPES, DUP_ITEMS]
     assert_parity(batch, "batch", mode="separate", id_generation="hash")
 
 
+@needs_ref
 def test_parity_max_depth():
     assert_parity([DEEP_NEST], "d", id_generation="hash")
     ours = our_tables([DEEP_NEST], "d", id_generation="hash", max_depth=3)
@@ -197,6 +214,7 @@ def test_parity_max_depth():
     assert normalize(ours) == normalize(theirs)
 
 
+@needs_ref
 def test_parity_natural_ids():
     recs = [{"_id": "n-1", "v": 1, "kids": [{"k": 1}]}]
     ours = our_tables(recs, "nat", mode="separate", id_generation="natural")
@@ -207,6 +225,7 @@ def test_parity_natural_ids():
     assert ours["nat_kids"][0]["_parent_id"] == "n-1"
 
 
+@needs_ref
 def test_natural_missing_id_raises():
     with pytest.raises(Exception):
         our_tables([{"v": 1}], "nat", id_generation="natural")
@@ -214,6 +233,7 @@ def test_natural_missing_id_raises():
         ref_tables([{"v": 1}], "nat", id_generation="natural")
 
 
+@needs_ref
 def test_hash_recipe_matches_reference_helpers():
     from transmog.flattening import _hash_value, _hash_fields  # reference internals
 
@@ -230,6 +250,7 @@ def test_hash_recipe_matches_reference_helpers():
     )
 
 
+@needs_ref
 def test_sanitize_matches_reference():
     from transmog.flattening import _sanitize_name
 
